@@ -326,17 +326,22 @@ impl FedDbms {
             Table::new(table.clone(), Self::queue_schema()).with_primary_key(&["tid"])?,
         );
         let world = self.world.clone();
-        let local = self.local.clone();
+        // The trigger is owned by `local` itself: a strong handle here
+        // would keep the database (and so the engine's state) alive forever.
+        let local = Arc::downgrade(&self.local);
         let opts = self.opts;
         let process_name = process.to_string();
         self.local.create_trigger(
             format!("{process}_trigger"),
             &table,
             Arc::new(move |_db, inserted| {
+                let local = local.upgrade().ok_or_else(|| {
+                    StoreError::Procedure(format!("{process_name}: engine database dropped"))
+                })?;
                 let costs = current_costs();
                 let ctx = FedCtx {
                     world: world.clone(),
-                    local: local.clone(),
+                    local,
                     costs,
                     opts,
                     temp_tag: 0,

@@ -60,6 +60,23 @@ fn queue_trigger_executes_body_and_charges_costs() {
 }
 
 #[test]
+fn dropped_engine_frees_its_local_database() {
+    let fed = FedDbms::new(world(), FedOptions::default());
+    dip_feddbms::procs::deploy_all(&fed).unwrap();
+    fed.deploy_queue("PX", Arc::new(|_: &FedCtx, _: &Document| Ok(())))
+        .unwrap();
+    // a fired trigger, with its message kept in the queue table
+    fed.execute("PX", 0, Some(Document::new(Element::new("m"))))
+        .unwrap();
+    let local = Arc::downgrade(&fed.local);
+    drop(fed);
+    assert!(
+        local.upgrade().is_none(),
+        "the queue triggers keep the engine's database alive"
+    );
+}
+
+#[test]
 fn trigger_error_marks_instance_failed() {
     let fed = FedDbms::new(world(), FedOptions::default());
     fed.deploy_queue(

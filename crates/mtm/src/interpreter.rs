@@ -22,6 +22,7 @@ use dip_relstore::prelude::*;
 use dip_services::registry::ExternalWorld;
 use dip_services::resultset;
 use dip_xmlkit::node::Document;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Shared execution services for one instance.
@@ -62,6 +63,11 @@ impl<'a> Interpreter<'a> {
 
     fn get<'v>(vars: &'v VarStore, name: &str) -> MtmResult<&'v MtmMessage> {
         vars.get(name)
+            .ok_or_else(|| MtmError::UnboundVariable(name.to_string()))
+    }
+
+    fn share(vars: &VarStore, name: &str) -> MtmResult<Arc<MtmMessage>> {
+        vars.share(name)
             .ok_or_else(|| MtmError::UnboundVariable(name.to_string()))
     }
 
@@ -118,11 +124,13 @@ impl<'a> Interpreter<'a> {
             }
             Step::Assign { var, value } => {
                 let t = Instant::now();
-                let v = match value {
-                    AssignValue::Const(m) => m.clone(),
-                    AssignValue::CopyVar(src) => Self::get(vars, src)?.clone(),
-                };
-                vars.set(var.clone(), v);
+                match value {
+                    AssignValue::Const(m) => vars.set(var.clone(), m.clone()),
+                    AssignValue::CopyVar(src) => {
+                        let shared = Self::share(vars, src)?;
+                        vars.set_shared(var.clone(), shared);
+                    }
+                }
                 self.costs.add(CostCategory::Processing, t.elapsed());
             }
             Step::Translate { stx, input, output } => {
@@ -396,8 +404,9 @@ impl<'a> Interpreter<'a> {
             Step::Fork { branches } => {
                 let t = Instant::now();
                 // Each branch runs on its own thread over a clone of the
-                // variable store; results are merged in branch order. The
-                // instance's fault scope is a thread-local, so each branch
+                // variable store, which shares the messages themselves;
+                // results are merged in branch order. The instance's
+                // fault scope is a thread-local, so each branch
                 // re-adopts a snapshot of it, derived by branch index —
                 // parallel branches own disjoint, deterministic regions of
                 // the fault schedule regardless of thread interleaving.
@@ -448,8 +457,7 @@ impl<'a> Interpreter<'a> {
                 let t = Instant::now();
                 let mut sub_vars = VarStore::new();
                 if let Some(in_var) = input {
-                    let v = Self::get(vars, in_var)?.clone();
-                    sub_vars.set("input", v);
+                    sub_vars.set_shared("input", Self::share(vars, in_var)?);
                 }
                 self.costs.add(CostCategory::Management, t.elapsed());
                 let mut no_input = None;

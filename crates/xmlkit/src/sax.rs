@@ -44,11 +44,40 @@ fn emit(e: &Element, out: &mut Vec<SaxEvent>) {
     });
 }
 
+/// The top level of a document being built: exactly one root element,
+/// with nothing but whitespace around it.
+#[derive(Default)]
+pub(crate) struct TopLevel {
+    root: Option<Element>,
+}
+
+impl TopLevel {
+    pub(crate) fn push(&mut self, node: XmlNode) -> XmlResult<()> {
+        match node {
+            XmlNode::Text(t) if t.trim().is_empty() => Ok(()),
+            XmlNode::Text(_) => Err(XmlError::Transform("text outside root element".into())),
+            XmlNode::Element(_) if self.root.is_some() => {
+                Err(XmlError::Transform("multiple root elements".into()))
+            }
+            XmlNode::Element(e) => {
+                self.root = Some(e);
+                Ok(())
+            }
+        }
+    }
+
+    pub(crate) fn finish(self) -> XmlResult<Document> {
+        self.root
+            .map(Document::new)
+            .ok_or_else(|| XmlError::Transform("empty event stream".into()))
+    }
+}
+
 /// Fold an event stream back into a document. The stream must be
 /// well-formed: one root element, balanced start/end tags.
 pub fn build(events: impl IntoIterator<Item = SaxEvent>) -> XmlResult<Document> {
     let mut stack: Vec<Element> = Vec::new();
-    let mut root: Option<Element> = None;
+    let mut top = TopLevel::default();
     for ev in events {
         match ev {
             SaxEvent::StartElement { name, attrs } => {
@@ -59,18 +88,14 @@ pub fn build(events: impl IntoIterator<Item = SaxEvent>) -> XmlResult<Document> 
                 });
             }
             SaxEvent::Text(t) => match stack.last_mut() {
-                Some(top) => {
-                    if let Some(XmlNode::Text(prev)) = top.children.last_mut() {
+                Some(open) => {
+                    if let Some(XmlNode::Text(prev)) = open.children.last_mut() {
                         prev.push_str(&t);
                     } else {
-                        top.children.push(XmlNode::Text(t));
+                        open.children.push(XmlNode::Text(t));
                     }
                 }
-                None => {
-                    if !t.trim().is_empty() {
-                        return Err(XmlError::Transform("text outside root element".into()));
-                    }
-                }
+                None => top.push(XmlNode::Text(t))?,
             },
             SaxEvent::EndElement { name } => {
                 let done = stack
@@ -84,12 +109,7 @@ pub fn build(events: impl IntoIterator<Item = SaxEvent>) -> XmlResult<Document> 
                 }
                 match stack.last_mut() {
                     Some(parent) => parent.children.push(XmlNode::Element(done)),
-                    None => {
-                        if root.is_some() {
-                            return Err(XmlError::Transform("multiple root elements".into()));
-                        }
-                        root = Some(done);
-                    }
+                    None => top.push(XmlNode::Element(done))?,
                 }
             }
         }
@@ -99,8 +119,7 @@ pub fn build(events: impl IntoIterator<Item = SaxEvent>) -> XmlResult<Document> 
             "unclosed elements at end of stream".into(),
         ));
     }
-    root.map(Document::new)
-        .ok_or_else(|| XmlError::Transform("empty event stream".into()))
+    top.finish()
 }
 
 #[cfg(test)]

@@ -6,12 +6,20 @@
 //! (Becker, "Streaming Transformations for XML", 2003). This module
 //! implements the subset those translations need: template rules matched on
 //! the current element path, with rename / drop / unwrap / attribute and
-//! text-vocabulary actions, executed in a single pass over the event stream
-//! with O(depth) state.
+//! text-vocabulary actions, executed in a single pass with O(depth) state.
+//!
+//! [`Stylesheet::transform`] walks the input tree once and appends straight
+//! into the output tree: names on the match path are borrowed from the
+//! input, vocabulary maps are used by reference, and every output string
+//! is allocated once. [`Stylesheet::transform_events`] drives the same rule
+//! core over a SAX event stream. The `stx_transform` trace span covers the
+//! whole transform, tree in to tree out, so the time is xmlkit self time
+//! rather than self time of the caller (the MTM `translate` step or a
+//! federated procedure body).
 
 use crate::error::{XmlError, XmlResult};
-use crate::node::Document;
-use crate::sax::{build, events, SaxEvent};
+use crate::node::{Document, Element, XmlNode};
+use crate::sax::{SaxEvent, TopLevel};
 use std::collections::HashMap;
 
 /// How a rule selects elements.
@@ -25,11 +33,15 @@ pub enum Match {
 }
 
 impl Match {
-    fn matches(&self, path: &[String]) -> bool {
+    fn matches(&self, path: &[&str]) -> bool {
         match self {
-            Match::Name(n) => path.last().map(String::as_str) == Some(n),
+            Match::Name(n) => path.last() == Some(&n.as_str()),
             Match::PathSuffix(suffix) => {
-                path.len() >= suffix.len() && path.ends_with(suffix.as_slice())
+                path.len() >= suffix.len()
+                    && path[path.len() - suffix.len()..]
+                        .iter()
+                        .zip(suffix)
+                        .all(|(p, s)| p == s)
             }
         }
     }
@@ -147,12 +159,97 @@ pub struct Stylesheet {
     pub rules: Vec<Rule>,
 }
 
-/// Per-open-element transformation state.
-struct Frame {
-    /// Name to emit on the end event; `None` while unwrapped.
-    emit_name: Option<String>,
+/// What the first matching rule makes of one element that is not dropped.
+/// Everything is borrowed from the input and the stylesheet.
+struct Opened<'a> {
+    /// Output name; `None` when unwrapped.
+    name: Option<&'a str>,
+    /// Output attributes, in order.
+    attrs: Vec<(&'a str, &'a str)>,
+    /// Emit the attributes as leading child elements instead.
+    attrs_to_elements: bool,
     /// Active text map for direct text children.
-    text_map: Option<HashMap<String, String>>,
+    text_map: Option<&'a HashMap<String, String>>,
+}
+
+impl<'a> Opened<'a> {
+    /// Apply the actions of the first rule matching `path` (whose last
+    /// entry is this element's name) in order; `None` if the element and
+    /// its subtree are dropped.
+    fn new(
+        sheet: &'a Stylesheet,
+        path: &[&'a str],
+        attrs: &'a [(String, String)],
+    ) -> Option<Opened<'a>> {
+        let mut out = Opened {
+            name: path.last().copied(),
+            attrs: attrs
+                .iter()
+                .map(|(n, v)| (n.as_str(), v.as_str()))
+                .collect(),
+            attrs_to_elements: false,
+            text_map: None,
+        };
+        let Some(rule) = sheet.rules.iter().find(|r| r.matcher.matches(path)) else {
+            return Some(out);
+        };
+        let mut dropped = false;
+        for action in &rule.actions {
+            match action {
+                Action::Drop => dropped = true,
+                Action::Unwrap => out.name = None,
+                Action::Rename(to) => {
+                    if out.name.is_some() {
+                        out.name = Some(to);
+                    }
+                }
+                Action::MapText(m) => out.text_map = Some(m),
+                Action::RenameAttr { from, to } => {
+                    for (n, _) in out.attrs.iter_mut().filter(|(n, _)| n == from) {
+                        *n = to;
+                    }
+                }
+                Action::DropAttr(a) => out.attrs.retain(|(n, _)| n != a),
+                Action::SetAttr { name, value } => {
+                    match out.attrs.iter_mut().find(|(n, _)| n == name) {
+                        Some((_, v)) => *v = value,
+                        None => out.attrs.push((name, value)),
+                    }
+                }
+                Action::AttrsToElements => out.attrs_to_elements = true,
+            }
+        }
+        (!dropped).then_some(out)
+    }
+
+    /// The output attribute list (empty when they become elements).
+    fn owned_attrs(&self) -> Vec<(String, String)> {
+        if self.attrs_to_elements {
+            return Vec::new();
+        }
+        self.attrs
+            .iter()
+            .map(|(n, v)| (n.to_string(), v.to_string()))
+            .collect()
+    }
+
+    /// A text child, through the vocabulary map if one is active.
+    fn map_text<'t>(&self, text: &'t str) -> &'t str
+    where
+        'a: 't,
+    {
+        self.text_map
+            .and_then(|m| m.get(text.trim()))
+            .map_or(text, String::as_str)
+    }
+}
+
+/// Append a text run, merging it into a preceding one.
+fn push_text(children: &mut Vec<XmlNode>, text: &str) {
+    match children.last_mut() {
+        Some(XmlNode::Text(prev)) => prev.push_str(text),
+        _ => children.push(XmlNode::Text(text.to_string())),
+    }
 }
 
 impl Stylesheet {
@@ -168,11 +265,68 @@ impl Stylesheet {
         Stylesheet::new(name, Vec::new())
     }
 
-    fn find_rule(&self, path: &[String]) -> Option<&Rule> {
-        self.rules.iter().find(|r| r.matcher.matches(path))
+    /// Transform a whole document in one walk over its tree. Gives the
+    /// same document (or error) as rebuilding the output of
+    /// [`Stylesheet::transform_events`] over the document's events.
+    pub fn transform(&self, doc: &Document) -> XmlResult<Document> {
+        let _span = dip_trace::span_cat(
+            dip_trace::Layer::Xmlkit,
+            "stx_transform",
+            dip_trace::Category::Processing,
+        );
+        // An unwrapped root leaves its children at the top level.
+        let mut nodes = Vec::with_capacity(1);
+        self.walk(&doc.root, &mut Vec::new(), &mut nodes);
+        let mut top = TopLevel::default();
+        for node in nodes {
+            top.push(node)?;
+        }
+        top.finish()
     }
 
-    /// Transform a SAX event stream in one pass.
+    /// Transform `e` and append the result to `out`, the children of the
+    /// nearest emitted ancestor.
+    fn walk<'a>(&'a self, e: &'a Element, path: &mut Vec<&'a str>, out: &mut Vec<XmlNode>) {
+        path.push(&e.name);
+        if let Some(opened) = Opened::new(self, path, &e.attrs) {
+            match opened.name {
+                Some(name) => {
+                    let mut el = Element {
+                        name: name.to_string(),
+                        attrs: opened.owned_attrs(),
+                        children: Vec::with_capacity(e.children.len()),
+                    };
+                    if opened.attrs_to_elements {
+                        for (n, v) in &opened.attrs {
+                            el.children.push(XmlNode::Element(Element::leaf(*n, *v)));
+                        }
+                    }
+                    self.walk_children(e, &opened, path, &mut el.children);
+                    out.push(XmlNode::Element(el));
+                }
+                None => self.walk_children(e, &opened, path, out),
+            }
+        }
+        path.pop();
+    }
+
+    fn walk_children<'a>(
+        &'a self,
+        e: &'a Element,
+        opened: &Opened<'a>,
+        path: &mut Vec<&'a str>,
+        out: &mut Vec<XmlNode>,
+    ) {
+        for c in &e.children {
+            match c {
+                XmlNode::Element(child) => self.walk(child, path, out),
+                XmlNode::Text(t) => push_text(out, opened.map_text(t)),
+            }
+        }
+    }
+
+    /// Transform a SAX event stream in one pass, with the rule logic of
+    /// [`Stylesheet::transform`].
     pub fn transform_events(&self, input: &[SaxEvent]) -> XmlResult<Vec<SaxEvent>> {
         let _span = dip_trace::span_cat(
             dip_trace::Layer::Xmlkit,
@@ -180,97 +334,50 @@ impl Stylesheet {
             dip_trace::Category::Processing,
         );
         let mut out = Vec::with_capacity(input.len());
-        let mut path: Vec<String> = Vec::new();
-        let mut frames: Vec<Frame> = Vec::new();
+        let mut path: Vec<&str> = Vec::new();
+        // One entry per open element that is not dropped.
+        let mut frames: Vec<Opened> = Vec::new();
         // While dropping a subtree: depth below the dropped element.
         let mut drop_depth: Option<usize> = None;
 
         for ev in input {
             match ev {
                 SaxEvent::StartElement { name, attrs } => {
-                    path.push(name.clone());
+                    path.push(name);
                     if let Some(d) = drop_depth.as_mut() {
                         *d += 1;
                         continue;
                     }
-                    let rule = self.find_rule(&path);
-                    let mut emit_name = Some(name.clone());
-                    let mut out_attrs = attrs.clone();
-                    let mut text_map = None;
-                    let mut attrs_to_elements = false;
-                    if let Some(rule) = rule {
-                        for action in &rule.actions {
-                            match action {
-                                Action::Drop => {
-                                    drop_depth = Some(0);
-                                }
-                                Action::Unwrap => emit_name = None,
-                                Action::Rename(to) => {
-                                    if emit_name.is_some() {
-                                        emit_name = Some(to.clone());
-                                    }
-                                }
-                                Action::MapText(m) => text_map = Some(m.clone()),
-                                Action::RenameAttr { from, to } => {
-                                    for (n, _) in out_attrs.iter_mut() {
-                                        if n == from {
-                                            *n = to.clone();
-                                        }
-                                    }
-                                }
-                                Action::DropAttr(a) => out_attrs.retain(|(n, _)| n != a),
-                                Action::SetAttr { name, value } => {
-                                    match out_attrs.iter_mut().find(|(n, _)| n == name) {
-                                        Some((_, v)) => *v = value.clone(),
-                                        None => out_attrs.push((name.clone(), value.clone())),
-                                    }
-                                }
-                                Action::AttrsToElements => attrs_to_elements = true,
-                            }
-                        }
-                    }
-                    if drop_depth.is_some() {
-                        // element dropped: remember no frame; the drop
-                        // counter tracks nesting from here on.
+                    let Some(opened) = Opened::new(self, &path, attrs) else {
+                        drop_depth = Some(0);
                         continue;
-                    }
-                    if let Some(n) = &emit_name {
-                        let final_attrs = if attrs_to_elements {
-                            Vec::new()
-                        } else {
-                            out_attrs.clone()
-                        };
+                    };
+                    if let Some(n) = opened.name {
                         out.push(SaxEvent::StartElement {
-                            name: n.clone(),
-                            attrs: final_attrs,
+                            name: n.to_string(),
+                            attrs: opened.owned_attrs(),
                         });
-                        if attrs_to_elements {
-                            for (an, av) in &out_attrs {
+                        if opened.attrs_to_elements {
+                            for (an, av) in &opened.attrs {
                                 out.push(SaxEvent::StartElement {
-                                    name: an.clone(),
+                                    name: an.to_string(),
                                     attrs: vec![],
                                 });
-                                out.push(SaxEvent::Text(av.clone()));
-                                out.push(SaxEvent::EndElement { name: an.clone() });
+                                out.push(SaxEvent::Text(av.to_string()));
+                                out.push(SaxEvent::EndElement {
+                                    name: an.to_string(),
+                                });
                             }
                         }
                     }
-                    frames.push(Frame {
-                        emit_name,
-                        text_map,
-                    });
+                    frames.push(opened);
                 }
                 SaxEvent::Text(t) => {
                     if drop_depth.is_some() {
                         continue;
                     }
-                    let mapped = frames
-                        .last()
-                        .and_then(|f| f.text_map.as_ref())
-                        .and_then(|m| m.get(t.trim()))
-                        .cloned()
-                        .unwrap_or_else(|| t.clone());
-                    out.push(SaxEvent::Text(mapped));
+                    let mapped = frames.last().map_or(t.as_str(), |f| f.map_text(t));
+                    out.push(SaxEvent::Text(mapped.to_string()));
                 }
                 SaxEvent::EndElement { .. } => {
                     path.pop();
@@ -285,8 +392,10 @@ impl Stylesheet {
                             let frame = frames.pop().ok_or_else(|| {
                                 XmlError::Transform("unbalanced input stream".into())
                             })?;
-                            if let Some(n) = frame.emit_name {
-                                out.push(SaxEvent::EndElement { name: n });
+                            if let Some(n) = frame.name {
+                                out.push(SaxEvent::EndElement {
+                                    name: n.to_string(),
+                                });
                             }
                         }
                     }
@@ -294,13 +403,6 @@ impl Stylesheet {
             }
         }
         Ok(out)
-    }
-
-    /// Transform a whole document (events → transform → rebuild).
-    pub fn transform(&self, doc: &Document) -> XmlResult<Document> {
-        let evs = events(doc);
-        let out = self.transform_events(&evs)?;
-        build(out)
     }
 }
 
